@@ -234,7 +234,12 @@ fn kernel_sample(nres: usize) -> KernelSample {
     let mut ys = vec![0.0; n];
     stencil.matvec_into(&x, &mut ys);
     csc.matvec_into(&x, &mut y);
-    assert_eq!(ys, y, "stencil and CSC matvec disagree at {nres}x{nres}");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&ys),
+        bits(&y),
+        "stencil and CSC matvec differ bitwise at {nres}x{nres}"
+    );
 
     // Preconditioner applies: the model's coarsening loop (floor 64
     // in-plane cells) against ILU(0) on the assembled operator.

@@ -322,6 +322,40 @@ fn stats_event(s: &StatsSnapshot) -> Json {
 
 // ---------------------------------------------------------------- HTTP --
 
+/// Largest HTTP request body accepted, in bytes. The largest request any
+/// caller in this repository sends (a three-spec `POST /run`) is under
+/// 1 KiB, so 1 MiB leaves three orders of magnitude of headroom while
+/// bounding what one declared `Content-Length` can make the daemon
+/// allocate.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Why a request's declared body is refused before it is read.
+struct BodyRefusal {
+    status: &'static str,
+    detail: String,
+}
+
+/// Parses a `Content-Length` value against [`MAX_BODY_BYTES`]: anything
+/// but a plain decimal is `400`, a decimal above the cap (however many
+/// digits) is `413`.
+fn parse_content_length(value: &str) -> Result<usize, BodyRefusal> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(BodyRefusal {
+            status: "400 Bad Request",
+            detail: format!("unparsable Content-Length {value:?}"),
+        });
+    }
+    match value.parse::<usize>() {
+        Ok(n) if n <= MAX_BODY_BYTES => Ok(n),
+        _ => Err(BodyRefusal {
+            status: "413 Payload Too Large",
+            detail: format!(
+                "request body of {value} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            ),
+        }),
+    }
+}
+
 /// The HTTP transport: one request per connection (`Connection: close`).
 fn serve_http(stream: TcpStream, shared: Shared) {
     let mut reader = match stream.try_clone() {
@@ -341,7 +375,7 @@ fn serve_http(stream: TcpStream, shared: Shared) {
     };
 
     // Headers: we only care about Content-Length.
-    let mut content_length = 0usize;
+    let mut content_length = Ok(0usize);
     loop {
         let mut line = String::new();
         match reader.read_line(&mut line) {
@@ -355,10 +389,20 @@ fn serve_http(stream: TcpStream, shared: Shared) {
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                content_length = parse_content_length(value.trim());
             }
         }
     }
+    // The body buffer is allocated only once its declared size is known
+    // to be within the cap: a client must not be able to size it.
+    let content_length = match content_length {
+        Ok(n) => n,
+        Err(BodyRefusal { status, detail }) => {
+            let payload = error_event(None, &detail).encode();
+            let _ = write_http_json(&mut writer, status, &payload);
+            return;
+        }
+    };
     let mut body = vec![0u8; content_length];
     if content_length > 0 && reader.read_exact(&mut body).is_err() {
         return;

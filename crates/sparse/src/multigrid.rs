@@ -314,8 +314,8 @@ impl<A: LinearOperator> Multigrid<A> {
         {
             let lev = &mut self.levels[l];
             lev.op.matvec_into(&lev.x, &mut lev.r);
-            for i in 0..lev.r.len() {
-                lev.r[i] = lev.b[i] - lev.r[i];
+            for (ri, &bi) in lev.r.iter_mut().zip(&lev.b) {
+                *ri = bi - *ri;
             }
         }
         if l + 1 < self.levels.len() {
@@ -375,26 +375,20 @@ fn restrict(fine: GridShape, rf: &[f64], coarse: GridShape, rc: &mut [f64]) {
     debug_assert_eq!(Some(coarse), fine.coarsened());
     debug_assert_eq!(rf.len(), fine.n());
     debug_assert_eq!(rc.len(), coarse.n());
-    let (fnx, fny) = (fine.nx, fine.ny);
-    let (cnx, cny) = (coarse.nx, coarse.ny);
-    let f_cells = fnx * fny;
-    let c_cells = cnx * cny;
-    for z in 0..fine.nz {
-        let fz = z * f_cells;
-        let cz = z * c_cells;
-        for cy in 0..cny {
-            let f0 = fz + (2 * cy) * fnx;
-            let f1 = fz + (2 * cy + 1) * fnx;
-            let c0 = cz + cy * cnx;
-            for cx in 0..cnx {
-                let fx = 2 * cx;
-                rc[c0 + cx] = (rf[f0 + fx] + rf[f0 + fx + 1]) + (rf[f1 + fx] + rf[f1 + fx + 1]);
-            }
+    let (fnx, cnx) = (fine.nx, coarse.nx);
+    // Every coarse row of every tier pairs with two consecutive fine rows.
+    let fine_rows = rf[..fine.cells()].chunks_exact(2 * fnx);
+    for (crow, pair) in rc[..coarse.cells()].chunks_exact_mut(cnx).zip(fine_rows) {
+        let (f0, f1) = pair.split_at(fnx);
+        for ((c, a), b) in crow
+            .iter_mut()
+            .zip(f0.chunks_exact(2))
+            .zip(f1.chunks_exact(2))
+        {
+            *c = (a[0] + a[1]) + (b[0] + b[1]);
         }
     }
-    for e in 0..fine.extra {
-        rc[coarse.cells() + e] = rf[fine.cells() + e];
-    }
+    rc[coarse.cells()..].copy_from_slice(&rf[fine.cells()..]);
 }
 
 /// Weight pair for cell-centered bilinear interpolation along one axis:
@@ -410,36 +404,53 @@ fn axis_neighbors(i: usize, cn: usize) -> (usize, usize) {
     (main, side)
 }
 
+/// Interpolation weight of the nearer coarse cell along one axis.
+const W_MAIN: f64 = 0.75;
+/// Interpolation weight of the farther coarse cell along one axis.
+const W_SIDE: f64 = 0.25;
+
+/// Bilinear weight of one fine cell from the main coarse row (`mm` its
+/// main column, `ms` its side column) and the side coarse row (`sm`,
+/// `ss`).
+#[inline]
+fn bilinear(mm: f64, ms: f64, sm: f64, ss: f64) -> f64 {
+    W_MAIN * (W_MAIN * mm + W_SIDE * ms) + W_SIDE * (W_MAIN * sm + W_SIDE * ss)
+}
+
 /// Cell-centered bilinear prolongation, *added* into the fine vector
 /// (coarse-grid correction); trailing lumped nodes are injected.
+///
+/// Along x, the two boundary fine cells clamp to their own coarse cell;
+/// every interior pair of fine cells `2c+1, 2c+2` sits between coarse
+/// cells `c` and `c+1` with fixed 3/4–1/4 weights, so the inner loop
+/// walks coarse windows without per-cell neighbour lookups.
 fn prolong_add(coarse: GridShape, xc: &[f64], fine: GridShape, xf: &mut [f64]) {
     debug_assert_eq!(Some(coarse), fine.coarsened());
     debug_assert_eq!(xc.len(), coarse.n());
     debug_assert_eq!(xf.len(), fine.n());
-    const W_MAIN: f64 = 0.75;
-    const W_SIDE: f64 = 0.25;
     let (fnx, fny) = (fine.nx, fine.ny);
     let (cnx, cny) = (coarse.nx, coarse.ny);
-    let f_cells = fnx * fny;
-    let c_cells = cnx * cny;
-    for z in 0..fine.nz {
-        let fz = z * f_cells;
-        let cz = z * c_cells;
-        for fy in 0..fny {
+    let fine_tiers = xf[..fine.cells()].chunks_exact_mut(fnx * fny);
+    for (fz, cz) in fine_tiers.zip(xc[..coarse.cells()].chunks_exact(cnx * cny)) {
+        for (fy, frow) in fz.chunks_exact_mut(fnx).enumerate() {
             let (ym, ys) = axis_neighbors(fy, cny);
-            let row_m = cz + ym * cnx;
-            let row_s = cz + ys * cnx;
-            let frow = fz + fy * fnx;
-            for fx in 0..fnx {
-                let (xm, xs) = axis_neighbors(fx, cnx);
-                let v = W_MAIN * (W_MAIN * xc[row_m + xm] + W_SIDE * xc[row_m + xs])
-                    + W_SIDE * (W_MAIN * xc[row_s + xm] + W_SIDE * xc[row_s + xs]);
-                xf[frow + fx] += v;
+            let m = &cz[ym * cnx..(ym + 1) * cnx];
+            let s = &cz[ys * cnx..(ys + 1) * cnx];
+            frow[0] += bilinear(m[0], m[0], s[0], s[0]);
+            for ((pair, mw), sw) in frow[1..fnx - 1]
+                .chunks_exact_mut(2)
+                .zip(m.windows(2))
+                .zip(s.windows(2))
+            {
+                pair[0] += bilinear(mw[0], mw[1], sw[0], sw[1]);
+                pair[1] += bilinear(mw[1], mw[0], sw[1], sw[0]);
             }
+            let last = cnx - 1;
+            frow[fnx - 1] += bilinear(m[last], m[last], s[last], s[last]);
         }
     }
-    for e in 0..fine.extra {
-        xf[fine.cells() + e] += xc[coarse.cells() + e];
+    for (f, &c) in xf[fine.cells()..].iter_mut().zip(&xc[coarse.cells()..]) {
+        *f += c;
     }
 }
 
@@ -497,6 +508,94 @@ mod tests {
         )
         .unwrap();
         (fine, mg)
+    }
+
+    /// Scalar per-cell restriction: the reference `restrict` must match
+    /// bit for bit.
+    fn reference_restrict(fine: GridShape, rf: &[f64], coarse: GridShape, rc: &mut [f64]) {
+        let (fnx, fny) = (fine.nx, fine.ny);
+        let (cnx, cny) = (coarse.nx, coarse.ny);
+        for z in 0..fine.nz {
+            let fz = z * fnx * fny;
+            let cz = z * cnx * cny;
+            for cy in 0..cny {
+                let f0 = fz + (2 * cy) * fnx;
+                let f1 = fz + (2 * cy + 1) * fnx;
+                for cx in 0..cnx {
+                    let fx = 2 * cx;
+                    rc[cz + cy * cnx + cx] =
+                        (rf[f0 + fx] + rf[f0 + fx + 1]) + (rf[f1 + fx] + rf[f1 + fx + 1]);
+                }
+            }
+        }
+        for e in 0..fine.extra {
+            rc[coarse.cells() + e] = rf[fine.cells() + e];
+        }
+    }
+
+    /// Scalar per-cell prolongation (neighbour lookup on both axes for
+    /// every fine cell): the reference `prolong_add` must match bit for
+    /// bit.
+    fn reference_prolong_add(coarse: GridShape, xc: &[f64], fine: GridShape, xf: &mut [f64]) {
+        let (fnx, fny) = (fine.nx, fine.ny);
+        let (cnx, cny) = (coarse.nx, coarse.ny);
+        for z in 0..fine.nz {
+            let fz = z * fnx * fny;
+            let cz = z * cnx * cny;
+            for fy in 0..fny {
+                let (ym, ys) = axis_neighbors(fy, cny);
+                let row_m = cz + ym * cnx;
+                let row_s = cz + ys * cnx;
+                for fx in 0..fnx {
+                    let (xm, xs) = axis_neighbors(fx, cnx);
+                    let v = W_MAIN * (W_MAIN * xc[row_m + xm] + W_SIDE * xc[row_m + xs])
+                        + W_SIDE * (W_MAIN * xc[row_s + xm] + W_SIDE * xc[row_s + xs]);
+                    xf[fz + fy * fnx + fx] += v;
+                }
+            }
+        }
+        for e in 0..fine.extra {
+            xf[fine.cells() + e] += xc[coarse.cells() + e];
+        }
+    }
+
+    #[test]
+    fn transfers_are_bit_identical_to_the_scalar_references() {
+        // The liquid/Dirichlet stack shapes of the thermal crate, plus
+        // the edge grids: two-cell axes, with and without a lumped node.
+        let shapes = [
+            (8, 6, 4, 1),
+            (4, 4, 3, 1),
+            (16, 8, 5, 0),
+            (2, 6, 4, 1),
+            (6, 2, 2, 0),
+            (2, 2, 1, 0),
+            (2, 2, 3, 1),
+            (2, 4, 1, 1),
+            (4, 2, 5, 0),
+        ]
+        .map(|(nx, ny, nz, extra)| GridShape { nx, ny, nz, extra });
+        for (k, fine) in shapes.into_iter().enumerate() {
+            let coarse = fine.coarsened().expect("even in-plane axes");
+            let draw = |n: usize, salt: usize| -> Vec<f64> {
+                (0..n)
+                    .map(|i| ((i * 37 + salt * 101 + k) as f64 * 0.731).sin() * 1e3)
+                    .collect()
+            };
+            let rf = draw(fine.n(), 1);
+            let (mut rc, mut rc_ref) = (vec![f64::NAN; coarse.n()], vec![0.0; coarse.n()]);
+            restrict(fine, &rf, coarse, &mut rc);
+            reference_restrict(fine, &rf, coarse, &mut rc_ref);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rc), bits(&rc_ref), "restrict {fine:?}");
+
+            let xc = draw(coarse.n(), 2);
+            let mut xf = draw(fine.n(), 3);
+            let mut xf_ref = xf.clone();
+            prolong_add(coarse, &xc, fine, &mut xf);
+            reference_prolong_add(coarse, &xc, fine, &mut xf_ref);
+            assert_eq!(bits(&xf), bits(&xf_ref), "prolong_add {fine:?}");
+        }
     }
 
     #[test]

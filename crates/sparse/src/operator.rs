@@ -14,7 +14,15 @@
 //! * Two operators representing the same matrix must produce
 //!   **bit-identical** `matvec_into` results for the Krylov trajectory to
 //!   be reproducible across representations; implementations therefore
-//!   document their accumulation order.
+//!   document their accumulation order. The reference order is
+//!   [`CscMatrix::matvec_into`]'s: each `y[r]` starts at `+0.0` and adds
+//!   its entries' products `a[r,c]·x[c]` in ascending column order. The
+//!   CSC product skips columns with `x[c] == 0.0`, but a finite entry
+//!   times a zero is `±0.0`, and adding `±0.0` to such a sum never changes
+//!   its bits, so an implementation with finite entries may gather
+//!   rows in any loop shape that keeps that per-row order, with or
+//!   without the skip (the thermal crate's `StencilOperator` gathers rows
+//!   plane by plane).
 //! * [`LinearOperator::max_abs`] is the operator scale used by the
 //!   scale-relative breakdown guards; it must equal the maximum absolute
 //!   value over the *stored/emitted* entries (the same fold a CSC form
@@ -75,8 +83,12 @@ pub trait LinearOperator {
         scratch: &mut [f64],
     ) {
         self.matvec_into(x, scratch);
-        for i in 0..x.len() {
-            x[i] += omega * inv_diag[i] * (b[i] - scratch[i]);
+        assert!(
+            b.len() == x.len() && inv_diag.len() == x.len(),
+            "smooth_pass: slice length mismatch"
+        );
+        for (((xi, &di), &bi), &si) in x.iter_mut().zip(inv_diag).zip(b).zip(&*scratch) {
+            *xi += omega * di * (bi - si);
         }
     }
 }

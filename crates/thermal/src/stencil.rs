@@ -10,18 +10,35 @@
 //! # Bit-identity contract
 //!
 //! [`StencilOperator::matvec_into`] and the assembled form returned by
-//! [`StencilOperator::assemble`] produce **bit-identical** products: both
-//! walk the same column-major, row-ascending entry emission (one shared
-//! code path generates the entries), and the assembled CSC preserves that
-//! emission order verbatim, so `CscMatrix::matvec_into` replays the exact
-//! floating-point accumulation sequence of the stencil apply. This is the
-//! [`LinearOperator`] interchangeability contract the iterative solvers
-//! rely on when a solve mixes representations (e.g. a matrix-free fine
-//! level over an assembled direct-LU fallback).
+//! [`StencilOperator::assemble`] produce **bit-identical** products. The
+//! assembled CSC scatters column by column, so each row `r` of
+//! `CscMatrix::matvec_into` is the sum, starting from `+0.0`, of its
+//! entries' products taken in **ascending column order**. The stencil
+//! apply gathers rows instead: per layer plane it zeroes `y`, then adds
+//! one contiguous `y[a..b] += coef·x[a+off..b+off]` pass per coupling
+//! class in ascending column offset — wall below, interface below, `gy`
+//! up, left (`gx` or upwind `adv`), diagonal, right `gx`, `gy` down,
+//! interface above, wall above, sink broadcast — and finishes the sink
+//! row as a sequential sum over the top plane followed by its diagonal.
+//! Every row therefore replays exactly the accumulation sequence of the
+//! CSC product. This is the [`LinearOperator`] interchangeability
+//! contract the iterative solvers rely on when a solve mixes
+//! representations (e.g. a matrix-free fine level over an assembled
+//! direct-LU fallback).
+//!
+//! The CSC product skips columns whose `x` entry is `±0.0`; the gather
+//! does not mirror that skip because it cannot matter: a skipped term is
+//! a finite coefficient times `±0.0`, i.e. `±0.0`, and adding `±0.0` to a
+//! running sum that starts at `+0.0` never changes its bits (the sum can
+//! never become `-0.0`, since `+0.0 + -0.0 = +0.0` and exact
+//! cancellation rounds to `+0.0`). NaN and infinite `x` entries are not
+//! zero, so both forms process them.
 //!
 //! A coefficient that is exactly `0.0` is *structurally absent*: neither
-//! the matvec nor the assembled matrix emits it, using the same predicate,
-//! so the two forms always agree on sparsity as well as on bits.
+//! the matvec nor the assembled matrix applies it, using the same `!= 0.0`
+//! predicate (decided once per layer in the gather), so the two forms
+//! always agree on sparsity as well as on bits — including which rows a
+//! non-finite `x` entry reaches.
 //!
 //! # Layer taxonomy
 //!
@@ -307,9 +324,9 @@ impl StencilOperator {
     }
 
     /// Emits the stored entries of cell column `c = (z, iy, ix)` in
-    /// ascending row order — the single code path behind both
-    /// [`Self::matvec_into`] and [`Self::assemble`], which is what makes
-    /// them bit-identical. Zero coefficients are structurally absent.
+    /// ascending row order for [`Self::assemble`]; [`Self::matvec_into`]
+    /// gathers the same entries row-wise with the same zero predicate.
+    /// Zero coefficients are structurally absent.
     #[inline]
     fn cell_column(
         &self,
@@ -392,6 +409,12 @@ impl StencilOperator {
     /// bit-identical to `assemble().matvec_into(x, y)` (see the
     /// [module docs](self)).
     ///
+    /// Row gather, one layer plane at a time: the plane is zeroed, then
+    /// each present coupling class adds `coef·x[a+off..b+off]` into
+    /// `y[a..b]` as one contiguous pass, in ascending column offset, so
+    /// every row sees its entries in the order the assembled CSC scatter
+    /// applies them.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len()` or `y.len()` differs from `shape.n()`.
@@ -399,27 +422,70 @@ impl StencilOperator {
         let n = self.shape.n();
         assert_eq!(x.len(), n, "matvec_into: x dimension mismatch");
         assert_eq!(y.len(), n, "matvec_into: y dimension mismatch");
-        y.fill(0.0);
         let GridShape { nx, ny, nz, .. } = self.shape;
-        let mut c = 0usize;
-        for z in 0..nz {
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    let xc = x[c];
-                    // Mirrors CscMatrix::matvec_into's `xc == 0.0` column
-                    // skip (NaN columns are processed by both).
-                    if xc != 0.0 {
-                        self.cell_column(z, iy, ix, c, &mut |r, v| y[r] += v * xc);
+        let nxy = nx * ny;
+        let cells = self.shape.cells();
+        for (z, layer) in self.layers.iter().enumerate() {
+            let p = z * nxy;
+            let yz = &mut y[p..p + nxy];
+            yz.fill(0.0);
+            if z >= 2 && self.walls[z - 1] != 0.0 {
+                axpy(yz, -self.walls[z - 1], &x[p - 2 * nxy..p - nxy]);
+            }
+            if z >= 1 && self.interfaces[z - 1].lower != 0.0 {
+                axpy(yz, -self.interfaces[z - 1].lower, &x[p - nxy..p]);
+            }
+            let gy = (ny > 1 && layer.gy != 0.0).then_some(-layer.gy);
+            if let Some(g) = gy {
+                axpy(&mut yz[nx..], g, &x[p..p + nxy - nx]);
+            }
+            // At most one of gx/adv is nonzero (enforced per kind): the
+            // upstream neighbour's column carries lateral conduction on
+            // solid layers and the upwind advection on cavity layers.
+            let left = layer.gx + layer.adv;
+            if nx > 1 && left != 0.0 {
+                for (yr, xr) in yz.chunks_exact_mut(nx).zip(x[p..p + nxy].chunks_exact(nx)) {
+                    axpy(&mut yr[1..], -left, &xr[..nx - 1]);
+                }
+            }
+            for ((yi, &d), &xi) in yz
+                .iter_mut()
+                .zip(&self.diag[p..p + nxy])
+                .zip(&x[p..p + nxy])
+            {
+                *yi += d * xi;
+            }
+            if nx > 1 && layer.gx != 0.0 {
+                for (yr, xr) in yz.chunks_exact_mut(nx).zip(x[p..p + nxy].chunks_exact(nx)) {
+                    axpy(&mut yr[..nx - 1], -layer.gx, &xr[1..]);
+                }
+            }
+            if let Some(g) = gy {
+                axpy(&mut yz[..nxy - nx], g, &x[p + nx..p + nxy]);
+            }
+            if z + 1 < nz && self.interfaces[z].upper != 0.0 {
+                axpy(yz, -self.interfaces[z].upper, &x[p + nxy..p + 2 * nxy]);
+            }
+            if z + 2 < nz && self.walls[z + 1] != 0.0 {
+                axpy(yz, -self.walls[z + 1], &x[p + 2 * nxy..p + 3 * nxy]);
+            }
+            if z + 1 == nz {
+                if let Some(s) = self.sink.filter(|s| s.g_top != 0.0) {
+                    let v = -s.g_top * x[cells];
+                    for yi in yz {
+                        *yi += v;
                     }
-                    c += 1;
                 }
             }
         }
         if let Some(s) = &self.sink {
-            let xc = x[c];
-            if xc != 0.0 {
-                self.sink_column(s, &mut |r, v| y[r] += v * xc);
+            let mut acc = 0.0;
+            if s.g_top != 0.0 {
+                for &xc in &x[cells - nxy..cells] {
+                    acc += -s.g_top * xc;
+                }
             }
+            y[cells] = acc + self.diag[cells] * x[cells];
         }
     }
 
@@ -550,8 +616,12 @@ impl LinearOperator for StencilOperator {
         scratch: &mut [f64],
     ) {
         self.matvec_into(x, scratch);
-        for i in 0..x.len() {
-            x[i] += omega * inv_diag[i] * (b[i] - scratch[i]);
+        assert!(
+            b.len() == x.len() && inv_diag.len() == x.len(),
+            "smooth_pass: slice length mismatch"
+        );
+        for (((xi, &di), &bi), &si) in x.iter_mut().zip(inv_diag).zip(b).zip(&*scratch) {
+            *xi += omega * di * (bi - si);
         }
         let GridShape { nx, ny, nz, .. } = self.shape;
         let nxy = nx * ny;
@@ -562,46 +632,60 @@ impl LinearOperator for StencilOperator {
             if layer.adv == 0.0 {
                 continue;
             }
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    let c = z * nxy + iy * nx + ix;
-                    // Full row substitution: x[c] = (b[c] − Σ_offdiag)/diag.
-                    // Cavity rows have no lateral conduction, so the
-                    // off-diagonals are the upstream advective neighbour
-                    // (already updated this sweep — the Gauss–Seidel
-                    // part), the vertical couplings, any wall skips and
-                    // the sink spreading term.
+            // Full row substitution: x[c] = (b[c] − Σ_offdiag)/diag.
+            // Cavity rows have no lateral conduction, so the off-diagonals
+            // are the upstream advective neighbour (already updated this
+            // sweep — the Gauss–Seidel part), the vertical couplings, any
+            // wall skips and the sink spreading term, added in that order.
+            // Their presence and the sink product are per-layer constants.
+            let wall_below = (z >= 2 && self.walls[z - 1] != 0.0).then(|| self.walls[z - 1]);
+            let below = (z >= 1).then(|| self.interfaces[z - 1].lower);
+            let above = (z + 1 < nz).then(|| self.interfaces[z].upper);
+            let wall_above = (z + 2 < nz && self.walls[z + 1] != 0.0).then(|| self.walls[z + 1]);
+            let sink = if z + 1 == nz {
+                self.sink.map(|sk| sk.g_top * x[self.shape.cells()])
+            } else {
+                None
+            };
+            let p = z * nxy;
+            // Column-outer, row-inner: each channel row is an independent
+            // upstream chain, so interleaving the rows overlaps their
+            // dependency latencies without changing any row's sequence.
+            for ix in 0..nx {
+                for c in (p + ix..p + nxy).step_by(nx) {
                     let mut s = b[c];
                     if ix > 0 {
                         s += layer.adv * x[c - 1];
                     }
-                    if z >= 2 {
-                        let w = self.walls[z - 1];
-                        if w != 0.0 {
-                            s += w * x[c - 2 * nxy];
-                        }
+                    if let Some(w) = wall_below {
+                        s += w * x[c - 2 * nxy];
                     }
-                    if z >= 1 {
-                        s += self.interfaces[z - 1].lower * x[c - nxy];
+                    if let Some(g) = below {
+                        s += g * x[c - nxy];
                     }
-                    if z + 1 < nz {
-                        s += self.interfaces[z].upper * x[c + nxy];
+                    if let Some(g) = above {
+                        s += g * x[c + nxy];
                     }
-                    if z + 2 < nz {
-                        let w = self.walls[z + 1];
-                        if w != 0.0 {
-                            s += w * x[c + 2 * nxy];
-                        }
+                    if let Some(w) = wall_above {
+                        s += w * x[c + 2 * nxy];
                     }
-                    if z + 1 == nz {
-                        if let Some(sk) = &self.sink {
-                            s += sk.g_top * x[self.shape.cells()];
-                        }
+                    if let Some(v) = sink {
+                        s += v;
                     }
                     x[c] = s * inv_diag[c];
                 }
             }
         }
+    }
+}
+
+/// `y += a·x` over equal-length slices: the contiguous pass every
+/// coupling class of [`StencilOperator::matvec_into`] reduces to.
+#[inline]
+fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
+    debug_assert_eq!(y.len(), x.len());
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi += a * xi;
     }
 }
 
@@ -728,38 +812,268 @@ mod tests {
         x
     }
 
-    fn assert_bitwise_matvec(op: &StencilOperator, seed: u64) {
-        let a = op.assemble();
-        let n = op.shape().n();
-        assert_eq!(a.nrows(), n);
-        let x = seeded_vector(n, seed);
-        let mut y_stencil = vec![f64::NAN; n];
-        let mut y_csc = vec![f64::NAN; n];
-        op.matvec_into(&x, &mut y_stencil);
-        a.matvec_into(&x, &mut y_csc);
-        for (i, (s, c)) in y_stencil.iter().zip(&y_csc).enumerate() {
-            assert_eq!(
-                s.to_bits(),
-                c.to_bits(),
-                "row {i}: stencil {s:e} != assembled {c:e}"
-            );
-        }
+    /// A stack of arbitrary layers for edge-shape coverage: interface
+    /// couplings pointing out of a Dirichlet row are zero (one-sided),
+    /// all others nonzero and asymmetric.
+    fn stack(
+        nx: usize,
+        ny: usize,
+        layers: Vec<StencilLayer>,
+        walls: Vec<f64>,
+        sink: Option<StencilSink>,
+    ) -> StencilOperator {
+        let pinned = |l: &StencilLayer| l.kind == StencilLayerKind::DirichletCavity;
+        let interfaces = (1..layers.len())
+            .map(|z| {
+                let g = 0.11 + 0.2 * z as f64;
+                StencilInterface {
+                    lower: if pinned(&layers[z]) { 0.0 } else { g },
+                    upper: if pinned(&layers[z - 1]) { 0.0 } else { 1.3 * g },
+                }
+            })
+            .collect();
+        let shape = GridShape {
+            nx,
+            ny,
+            nz: layers.len(),
+            extra: usize::from(sink.is_some()),
+        };
+        StencilOperator::new(shape, layers, interfaces, walls, sink)
     }
 
-    #[test]
-    fn matvec_is_bit_identical_to_assembled_csc() {
-        for (i, op) in [
+    fn sink(transient: bool) -> Option<StencilSink> {
+        Some(StencilSink {
+            g_top: 3.4,
+            lumped: 11.0,
+            diag_extra: if transient { 0.8 } else { 0.0 },
+        })
+    }
+
+    /// The reference stacks plus the edge shapes: one, two and five
+    /// tiers (two cavities with wall skips), no sink, a single in-plane
+    /// cell, two-cell axes, and a transient Dirichlet stack.
+    fn shapes() -> Vec<StencilOperator> {
+        let e = 2.5e-3;
+        let five = || {
+            vec![
+                solid(1.7, e),
+                cavity(0.45),
+                solid(2.1, 1.3 * e),
+                cavity(0.7),
+                solid(0.9, 0.7 * e),
+            ]
+        };
+        let four = || {
+            vec![
+                solid(1.7, 0.0),
+                cavity(0.45),
+                solid(2.1, 0.0),
+                solid(0.9, 0.0),
+            ]
+        };
+        let walls5 = || vec![0.0, 0.12, 0.0, 0.2, 0.0];
+        let walls4 = || vec![0.0, 0.12, 0.0, 0.0];
+        vec![
             liquid_stack(5, 3, false),
             liquid_stack(5, 3, true),
             liquid_stack(1, 4, true), // nx == 1: no lateral-x, no advection entries
             liquid_stack(6, 1, false), // ny == 1: no lateral-y entries
+            liquid_stack(2, 6, true),
+            liquid_stack(6, 2, false),
+            liquid_stack(2, 2, true),
             dirichlet_stack(4, 3),
+            dirichlet_stack(2, 4),
+            stack(4, 3, vec![solid(1.2, e)], vec![0.0], sink(true)),
+            stack(3, 2, vec![solid(1.2, 0.0)], vec![0.0], None),
+            stack(
+                5,
+                2,
+                vec![solid(1.3, 0.0), cavity(0.6)],
+                vec![0.0; 2],
+                sink(false),
+            ),
+            stack(2, 3, vec![cavity(0.6), solid(1.3, e)], vec![0.0; 2], None),
+            stack(6, 4, five(), walls5(), sink(true)),
+            stack(2, 2, five(), walls5(), None),
+            stack(5, 3, four(), walls4(), None),
+            stack(1, 1, four(), walls4(), sink(true)),
+            // Zero lateral conduction and a sink with no spreading
+            // conductance: every zero-coefficient predicate is exercised.
+            stack(
+                3,
+                2,
+                vec![solid(0.0, e), cavity(0.5)],
+                vec![0.0; 2],
+                Some(StencilSink {
+                    g_top: 0.0,
+                    lumped: 2.0,
+                    diag_extra: 0.0,
+                }),
+            ),
+            stack(
+                4,
+                3,
+                vec![solid(1.1, e), dirichlet(), solid(1.4, 2.0 * e)],
+                vec![0.0, 0.09, 0.0],
+                sink(true),
+            ),
         ]
-        .iter()
-        .enumerate()
-        {
+    }
+
+    /// Column-scatter reference matvec: every cell column emitted through
+    /// `cell_column`, zero columns skipped — the accumulation
+    /// `CscMatrix::matvec_into` performs on `assemble()`.
+    fn scatter_matvec(op: &StencilOperator, x: &[f64], y: &mut [f64]) {
+        y.fill(0.0);
+        let GridShape { nx, ny, nz, .. } = op.shape();
+        let mut c = 0usize;
+        for z in 0..nz {
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let xc = x[c];
+                    if xc != 0.0 {
+                        op.cell_column(z, iy, ix, c, &mut |r, v| y[r] += v * xc);
+                    }
+                    c += 1;
+                }
+            }
+        }
+        if let Some(s) = op.sink() {
+            let xc = x[c];
+            if xc != 0.0 {
+                op.sink_column(s, &mut |r, v| y[r] += v * xc);
+            }
+        }
+    }
+
+    /// Per-cell reference for `smooth_pass`: row-outer, every presence
+    /// test re-evaluated per cell, same term order.
+    fn reference_smooth_pass(
+        op: &StencilOperator,
+        x: &mut [f64],
+        b: &[f64],
+        inv_diag: &[f64],
+        omega: f64,
+        scratch: &mut [f64],
+    ) {
+        scatter_matvec(op, x, scratch);
+        for i in 0..x.len() {
+            x[i] += omega * inv_diag[i] * (b[i] - scratch[i]);
+        }
+        let GridShape { nx, ny, nz, .. } = op.shape();
+        let nxy = nx * ny;
+        for (z, layer) in op.layers().iter().enumerate() {
+            if layer.adv == 0.0 {
+                continue;
+            }
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let c = z * nxy + iy * nx + ix;
+                    let mut s = b[c];
+                    if ix > 0 {
+                        s += layer.adv * x[c - 1];
+                    }
+                    if z >= 2 {
+                        let w = op.walls()[z - 1];
+                        if w != 0.0 {
+                            s += w * x[c - 2 * nxy];
+                        }
+                    }
+                    if z >= 1 {
+                        s += op.interfaces()[z - 1].lower * x[c - nxy];
+                    }
+                    if z + 1 < nz {
+                        s += op.interfaces()[z].upper * x[c + nxy];
+                    }
+                    if z + 2 < nz {
+                        let w = op.walls()[z + 1];
+                        if w != 0.0 {
+                            s += w * x[c + 2 * nxy];
+                        }
+                    }
+                    if z + 1 == nz {
+                        if let Some(sk) = op.sink() {
+                            s += sk.g_top * x[op.shape().cells()];
+                        }
+                    }
+                    x[c] = s * inv_diag[c];
+                }
+            }
+        }
+    }
+
+    /// Row-by-row agreement: finite rows bitwise, and non-finite rows
+    /// non-finite in both (NaN payloads are not part of the contract).
+    fn assert_rows_match(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            if w.is_finite() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what} row {i}: {g:e} != {w:e}");
+            } else {
+                assert!(!g.is_finite(), "{what} row {i}: {g:e}, reference {w:e}");
+            }
+        }
+    }
+
+    /// The stencil matvec against the assembled CSC product and the
+    /// column-scatter reference.
+    fn assert_matvec_matches(op: &StencilOperator, x: &[f64]) {
+        let n = op.shape().n();
+        let a = op.assemble();
+        assert_eq!(a.nrows(), n);
+        let mut y_stencil = vec![f64::NAN; n];
+        let mut y_csc = vec![f64::NAN; n];
+        let mut y_scatter = vec![f64::NAN; n];
+        op.matvec_into(x, &mut y_stencil);
+        a.matvec_into(x, &mut y_csc);
+        scatter_matvec(op, x, &mut y_scatter);
+        assert_rows_match(&y_stencil, &y_csc, "stencil vs assembled");
+        assert_rows_match(&y_stencil, &y_scatter, "stencil vs scatter");
+    }
+
+    fn assert_bitwise_matvec(op: &StencilOperator, seed: u64) {
+        assert_matvec_matches(op, &seeded_vector(op.shape().n(), seed));
+    }
+
+    #[test]
+    fn matvec_is_bit_identical_to_assembled_csc() {
+        for (i, op) in shapes().iter().enumerate() {
+            let n = op.shape().n();
             for seed in [1u64, 77, 2026] {
                 assert_bitwise_matvec(op, seed + i as u64);
+            }
+            // Signed zeros and non-finite entries, in the cells and in
+            // the last unknown (the sink node where there is one).
+            let mut special = seeded_vector(n, 9 + i as u64);
+            special[0] = -0.0;
+            special[n / 2] = f64::NAN;
+            special[n - 1] = f64::INFINITY;
+            assert_matvec_matches(op, &special);
+            let mut special = seeded_vector(n, 31 + i as u64);
+            special[n / 3] = f64::NEG_INFINITY;
+            special[(2 * n) / 3] = f64::INFINITY;
+            special[n - 1] = -0.0;
+            assert_matvec_matches(op, &special);
+            let zeros: Vec<f64> = (0..n)
+                .map(|c| if c % 2 == 0 { 0.0 } else { -0.0 })
+                .collect();
+            assert_matvec_matches(op, &zeros);
+        }
+    }
+
+    #[test]
+    fn smoother_is_bit_identical_to_the_per_cell_reference() {
+        for (i, op) in shapes().iter().enumerate() {
+            let n = op.shape().n();
+            let inv_diag: Vec<f64> = op.diagonal().iter().map(|d| 1.0 / d).collect();
+            let b = seeded_vector(n, 500 + i as u64);
+            let mut x = seeded_vector(n, 700 + i as u64);
+            let mut x_ref = x.clone();
+            let (mut scratch, mut scratch_ref) = (vec![0.0; n], vec![0.0; n]);
+            for sweep in 0..3 {
+                op.smooth_pass(&mut x, &b, &inv_diag, 0.8, &mut scratch);
+                reference_smooth_pass(op, &mut x_ref, &b, &inv_diag, 0.8, &mut scratch_ref);
+                assert_rows_match(&x, &x_ref, &format!("shape {i} sweep {sweep}"));
             }
         }
     }

@@ -23,7 +23,7 @@ use cmosaic_floorplan::GridSpec;
 use cmosaic_serve::json::Json;
 use cmosaic_serve::protocol::slot_json;
 use cmosaic_serve::scheduler::{Reply, Scheduler, SchedulerConfig};
-use cmosaic_serve::server::{Server, ServerConfig};
+use cmosaic_serve::server::{Server, ServerConfig, MAX_BODY_BYTES};
 
 /// All seeds share one `(stack, grid, thermal)` operator pattern.
 fn spec(seed: u64) -> ScenarioSpec {
@@ -418,5 +418,59 @@ fn http_transport_streams_epochs_and_serves_stats() {
             .and_then(Json::as_str),
         Some("bye")
     );
+    server.wait();
+}
+
+#[test]
+fn http_refuses_oversized_or_unparsable_bodies_and_keeps_serving() {
+    let server = Server::start(ServerConfig {
+        socket: None,
+        http: Some("127.0.0.1:0".to_string()),
+        scheduler: config(5),
+    })
+    .expect("server starts");
+    let addr = server.http_addr().expect("bound http address");
+    let post = |length: &str| {
+        http_roundtrip(
+            addr,
+            &format!(
+                "POST /run HTTP/1.1\r\nHost: localhost\r\nContent-Length: {length}\r\n\
+                 Connection: close\r\n\r\n"
+            ),
+        )
+    };
+    let event_of = |body: &str| {
+        Json::parse(body)
+            .expect("structured error body")
+            .get("event")
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+    let over_cap = (MAX_BODY_BYTES + 1).to_string();
+    for length in [
+        "100000000000000",
+        "99999999999999999999999999",
+        over_cap.as_str(),
+    ] {
+        let (status, body) = post(length);
+        assert_eq!(status, "HTTP/1.1 413 Payload Too Large", "{length}");
+        assert_eq!(event_of(&body).as_deref(), Some("error"), "{length}");
+    }
+    for length in ["12abc", "-1", "", "0x10"] {
+        let (status, body) = post(length);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{length:?}");
+        assert_eq!(event_of(&body).as_deref(), Some("error"), "{length:?}");
+    }
+
+    let (status, body) = http_roundtrip(
+        addr,
+        "GET /ping HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(
+        status, "HTTP/1.1 200 OK",
+        "the daemon survives the refusals"
+    );
+    assert_eq!(event_of(&body).as_deref(), Some("pong"));
+    server.shutdown();
     server.wait();
 }
